@@ -7,7 +7,6 @@ standardized heavy-tailed noise models, baseline estimators, and a Monte
 Carlo study harness with a CLI.
 """
 
-from .kernels import BACKEND, available_backends, use_backend
 from .loss import (
     Hessian2x2,
     as_sample,
@@ -53,9 +52,6 @@ from .harness import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
-    "available_backends",
-    "use_backend",
     "Hessian2x2",
     "as_sample",
     "pointwise_loss",

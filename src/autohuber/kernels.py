@@ -1,262 +1,129 @@
-"""Backend-selected reduction kernels for the penalized pseudo-Huber objective.
+"""Reduction kernels for the penalized pseudo-Huber objective.
 
 Everything here reduces a residual vector to a handful of scalars: the
 objective value, its gradient in (mu, tau), and the three distinct entries of
-its Hessian.  Two interchangeable backends implement the same arithmetic:
-
-``numba``
-    JIT-compiled loops with compensated (Neumaier) summation.  Default
-    whenever numba imports cleanly.
-``numpy``
-    Vectorized fallback with numpy's pairwise summation.  No compilation
-    step, handy for debugging and for environments without numba.
-
-Selection happens once at import time through the environment variable
-``AUTOHUBER_BACKEND`` (``numba`` or ``numpy``); ``use_backend`` rebinds the
-public names afterwards, which the benchmark script and tests rely on.
+its Hessian.  ``grad_hess`` is the solver's workhorse: one pass over the
+sample that returns the gradient and the Hessian together, so a point costs
+one residual vector and one root vector however many of its derivatives the
+caller needs.  ``grad_pair`` and ``hessian`` are that same pass.
 
 The objective for a sample y_1..y_n with residuals r_i = y_i - mu is
 
     L(mu, tau) = sum_i (sqrt(tau^2 + r_i^2) - tau) / (z sqrt(n))
                  + z tau / sqrt(n)
 
-with tau > 0 and adjustment factor z > 0.  The excess term
-sqrt(tau^2 + r^2) - tau is evaluated as (r / (sqrt(tau^2 + r^2) + tau)) * r
-when |r| <= tau, which avoids the cancellation that kills the naive form for
-small residuals and never squares r, so residuals around 1e200 stay finite.
-Hessian entries use the normalized ratios u = tau/h, v = r/h (both bounded by
-1 in magnitude), again so that nothing overflows before it is divided.
+with tau > 0 and adjustment factor z > 0.  The root h = sqrt(r^2 + tau^2)
+is computed exactly that way whenever tau lies in [1e-150, 1e150] and no
+|r| exceeds 1e150, where r^2 + tau^2 can neither overflow nor lose tau^2 to
+underflow.  Otherwise ``np.hypot`` takes over, which is finite for any
+float64 input but makes a pass over a large sample about twice as slow.
+The excess term sqrt(tau^2 + r^2) - tau is evaluated as r^2 / (h + tau),
+or as (r / (h + tau)) * r on the hypot side so that r is never squared,
+which avoids the cancellation that kills the naive form for small
+residuals.  Hessian entries use the normalized ratios u = tau/h, v = r/h (both bounded
+by 1 in magnitude), again so that nothing overflows before it is divided.
+Sums are numpy's pairwise sums.
+
+Whether every residual is inside the band follows from the sample's range:
+pass ``y_range=(min(y), max(y))`` to decide it without a pass over y, which
+is what the solver does with the range it computes once per fit.  Without
+it each call finds the range itself.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-ENV_VAR = "AUTOHUBER_BACKEND"
+BACKEND = "numpy"
+
+# tau and every |r| inside this band keep r^2 + tau^2 a normal float64, so
+# the plain square root is as accurate as hypot
+_SQRT_LO = 1e-150
+_SQRT_HI = 1e150
 
 
-# ---------------------------------------------------------------------------
-# numpy backend
+def sqrt_safe(y, mu, tau, y_range=None) -> bool:
+    """Whether sqrt(r^2 + tau^2) is safe for every r = y_i - mu."""
+    if not (_SQRT_LO <= tau <= _SQRT_HI):
+        return False
+    lo, hi = (float(y.min()), float(y.max())) if y_range is None else y_range
+    # max |y_i - mu| over the range, also when mu lies outside it
+    return max(hi - mu, mu - lo) <= _SQRT_HI
 
 
-def _np_total_loss(y, mu, tau, z):
-    n = y.shape[0]
-    r = y - mu
-    h = np.hypot(r, tau)
-    excess = h - tau
-    small = np.abs(r) <= tau
-    if small.any():
-        rs = r[small]
-        excess[small] = (rs / (h[small] + tau)) * rs
-    sqrt_n = math.sqrt(n)
-    return float(excess.sum() / (z * sqrt_n) + z * tau / sqrt_n)
+def _root(r, tau, fast):
+    """sqrt(r^2 + tau^2) per element, as a new array."""
+    if not fast:
+        return np.hypot(r, tau)
+    h = np.multiply(r, r)
+    h += tau * tau
+    return np.sqrt(h, out=h)
 
 
-def _np_grad_pair(y, mu, tau, z):
-    n = y.shape[0]
-    r = y - mu
-    h = np.hypot(r, tau)
-    sqrt_n = math.sqrt(n)
-    g_mu = -float(np.sum(r / h)) / (z * sqrt_n)
-    g_tau = float(np.sum(tau / h)) / (z * sqrt_n) - (sqrt_n / z - z / sqrt_n)
-    return g_mu, g_tau
+def excess(r, tau, fast):
+    """sqrt(r^2 + tau^2) - tau per element, without cancellation.
 
-
-def _np_hessian(y, mu, tau, z):
-    n = y.shape[0]
-    r = y - mu
-    h = np.hypot(r, tau)
-    u = tau / h
-    v = r / h
-    c = 1.0 / (z * math.sqrt(n))
-    h_mumu = float(np.sum(u * u / h)) * c
-    h_mutau = float(np.sum(u * v / h)) * c
-    h_tautau = float(np.sum(v * v / h)) * c
-    return h_mumu, h_mutau, h_tautau
-
-
-_NUMPY_KERNELS = {
-    "total_loss": _np_total_loss,
-    "grad_pair": _np_grad_pair,
-    "hessian": _np_hessian,
-}
-
-
-# ---------------------------------------------------------------------------
-# numba backend
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # numba is an optional extra; numpy is the fallback
-    njit = None
-    _HAVE_NUMBA = False
-
-
-def _build_numba_kernels():
-    # Neumaier-compensated accumulation keeps the loop sums within a few ulp
-    # of the exact value, so both backends agree to ~1e-14 relative even for
-    # large samples.
-    @njit(cache=True, nogil=True)
-    def nb_total_loss(y, mu, tau, z):
-        n = y.shape[0]
-        s = 0.0
-        comp = 0.0
-        for i in range(n):
-            r = y[i] - mu
-            h = math.hypot(r, tau)
-            if abs(r) <= tau:
-                term = (r / (h + tau)) * r
-            else:
-                term = h - tau
-            t = s + term
-            if abs(s) >= abs(term):
-                comp += (s - t) + term
-            else:
-                comp += (term - t) + s
-            s = t
-        sqrt_n = math.sqrt(n)
-        return (s + comp) / (z * sqrt_n) + z * tau / sqrt_n
-
-    @njit(cache=True, nogil=True)
-    def nb_grad_pair(y, mu, tau, z):
-        n = y.shape[0]
-        s_mu = 0.0
-        c_mu = 0.0
-        s_tau = 0.0
-        c_tau = 0.0
-        for i in range(n):
-            r = y[i] - mu
-            h = math.hypot(r, tau)
-            term = r / h
-            t = s_mu + term
-            if abs(s_mu) >= abs(term):
-                c_mu += (s_mu - t) + term
-            else:
-                c_mu += (term - t) + s_mu
-            s_mu = t
-            term = tau / h
-            t = s_tau + term
-            if abs(s_tau) >= abs(term):
-                c_tau += (s_tau - t) + term
-            else:
-                c_tau += (term - t) + s_tau
-            s_tau = t
-        sqrt_n = math.sqrt(n)
-        g_mu = -(s_mu + c_mu) / (z * sqrt_n)
-        g_tau = (s_tau + c_tau) / (z * sqrt_n) - (sqrt_n / z - z / sqrt_n)
-        return g_mu, g_tau
-
-    @njit(cache=True, nogil=True)
-    def nb_hessian(y, mu, tau, z):
-        n = y.shape[0]
-        s_mm = 0.0
-        c_mm = 0.0
-        s_mt = 0.0
-        c_mt = 0.0
-        s_tt = 0.0
-        c_tt = 0.0
-        for i in range(n):
-            r = y[i] - mu
-            h = math.hypot(r, tau)
-            u = tau / h
-            v = r / h
-            term = u * u / h
-            t = s_mm + term
-            if abs(s_mm) >= abs(term):
-                c_mm += (s_mm - t) + term
-            else:
-                c_mm += (term - t) + s_mm
-            s_mm = t
-            term = u * v / h
-            t = s_mt + term
-            if abs(s_mt) >= abs(term):
-                c_mt += (s_mt - t) + term
-            else:
-                c_mt += (term - t) + s_mt
-            s_mt = t
-            term = v * v / h
-            t = s_tt + term
-            if abs(s_tt) >= abs(term):
-                c_tt += (s_tt - t) + term
-            else:
-                c_tt += (term - t) + s_tt
-            s_tt = t
-        c = 1.0 / (z * math.sqrt(n))
-        return (s_mm + c_mm) * c, (s_mt + c_mt) * c, (s_tt + c_tt) * c
-
-    return {
-        "total_loss": nb_total_loss,
-        "grad_pair": nb_grad_pair,
-        "hessian": nb_hessian,
-    }
-
-
-_NUMBA_KERNELS = _build_numba_kernels() if _HAVE_NUMBA else None
-
-
-# ---------------------------------------------------------------------------
-# selection
-
-def available_backends():
-    """Names of the backends usable in this process."""
-    return ("numpy", "numba") if _HAVE_NUMBA else ("numpy",)
-
-
-def get_kernels(backend):
-    """Return the kernel table for an explicit backend name."""
-    if backend == "numpy":
-        return _NUMPY_KERNELS
-    if backend == "numba":
-        if not _HAVE_NUMBA:
-            raise RuntimeError("numba backend requested but numba is not importable")
-        return _NUMBA_KERNELS
-    raise ValueError(f"unknown backend {backend!r}; expected 'numba' or 'numpy'")
-
-
-def _initial_backend():
-    requested = os.environ.get(ENV_VAR, "").strip().lower()
-    if requested not in ("", "numba", "numpy"):
-        raise RuntimeError(
-            f"{ENV_VAR} must be 'numba' or 'numpy', got {requested!r}"
-        )
-    if requested == "numba" and not _HAVE_NUMBA:
-        raise RuntimeError(f"{ENV_VAR}=numba but numba is not importable")
-    if requested:
-        return requested
-    return "numba" if _HAVE_NUMBA else "numpy"
-
-
-BACKEND = _initial_backend()
-
-total_loss = get_kernels(BACKEND)["total_loss"]
-grad_pair = get_kernels(BACKEND)["grad_pair"]
-hessian = get_kernels(BACKEND)["hessian"]
-
-
-def use_backend(backend):
-    """Rebind the module-level kernels to ``backend``.
-
-    Not thread-safe; intended for benchmarks and tests.  Callers that import
-    the functions directly keep their old bindings, so code that must honor
-    the switch (the solver does) looks the kernels up through the module.
+    ``fast`` is ``sqrt_safe`` for these residuals.  Returns a new array and
+    leaves ``r`` alone.
     """
-    global BACKEND, total_loss, grad_pair, hessian
-    table = get_kernels(backend)
-    BACKEND = backend
-    total_loss = table["total_loss"]
-    grad_pair = table["grad_pair"]
-    hessian = table["hessian"]
-    return table
+    if fast:
+        e = np.multiply(r, r)
+        h = np.add(e, tau * tau)
+        np.sqrt(h, out=h)
+        h += tau
+        e /= h
+    else:
+        h = np.hypot(r, tau)
+        h += tau
+        e = np.divide(r, h, out=h)
+        e *= r
+    return e
 
 
-def warm_up():
-    """Trigger JIT compilation of the active backend on a tiny input."""
-    y = np.array([0.0, 1.0])
-    total_loss(y, 0.5, 1.0, 2.0)
-    grad_pair(y, 0.5, 1.0, 2.0)
-    hessian(y, 0.5, 1.0, 2.0)
+def total_loss(y, mu, tau, z, y_range=None):
+    n = y.shape[0]
+    r = np.subtract(y, mu)
+    e = excess(r, tau, sqrt_safe(y, mu, tau, y_range))
+    sqrt_n = math.sqrt(n)
+    return float(e.sum() / (z * sqrt_n) + z * tau / sqrt_n)
+
+
+def _derivatives(y, mu, tau, z, y_range, second_order):
+    n = y.shape[0]
+    sqrt_n = math.sqrt(n)
+    c = 1.0 / (z * sqrt_n)
+    r = np.subtract(y, mu)
+    h = _root(r, tau, sqrt_safe(y, mu, tau, y_range))
+    u = np.divide(tau, h)
+    v = np.divide(r, h, out=r)
+    g_mu = -float(v.sum()) * c
+    g_tau = float(u.sum()) * c - (sqrt_n / z - z / sqrt_n)
+    if not second_order:
+        return g_mu, g_tau
+    t = np.multiply(u, u)
+    t /= h
+    h_mm = float(t.sum()) * c
+    np.multiply(u, v, out=t)
+    t /= h
+    h_mt = float(t.sum()) * c
+    np.multiply(v, v, out=t)
+    t /= h
+    h_tt = float(t.sum()) * c
+    return g_mu, g_tau, h_mm, h_mt, h_tt
+
+
+def grad_hess(y, mu, tau, z, y_range=None):
+    """(g_mu, g_tau, h_mumu, h_mutau, h_tautau) from a single pass."""
+    return _derivatives(y, mu, tau, z, y_range, True)
+
+
+def grad_pair(y, mu, tau, z, y_range=None):
+    """(g_mu, g_tau): the first half of ``grad_hess``."""
+    return _derivatives(y, mu, tau, z, y_range, False)
+
+
+def hessian(y, mu, tau, z, y_range=None):
+    """(h_mumu, h_mutau, h_tautau): the second half of ``grad_hess``."""
+    return _derivatives(y, mu, tau, z, y_range, True)[2:]

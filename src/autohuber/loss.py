@@ -68,13 +68,7 @@ def pointwise_loss(x, tau, n, z):
     arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
     if not np.all(np.isfinite(arr)):
         raise ValueError("residual x must be finite")
-    h = np.hypot(arr, tau)
-    excess = h - tau
-    small = np.abs(arr) <= tau
-    if small.any():
-        xs = arr[small]
-        # rewrite sqrt(tau^2+x^2)-tau to dodge cancellation at small |x|
-        excess[small] = (xs / (h[small] + tau)) * xs
+    excess = kernels.excess(arr, tau, kernels.sqrt_safe(arr, 0.0, tau))
     sqrt_n = math.sqrt(n)
     out = sqrt_n * excess / z + z * tau / sqrt_n
     if np.isscalar(x) or np.asarray(x).ndim == 0:

@@ -22,9 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import quad
-from scipy.optimize import brentq
-
 from .noise import NoiseModel, atoms, standardized_pdf, standardized_support
 
 _QUAD_OPTS = {"epsabs": 1e-13, "epsrel": 1e-12, "limit": 200}
@@ -65,6 +62,10 @@ def _integrate(f, lo, hi, breakpoints=()):
     Returns the value; raises RuntimeError when the accumulated quadrature
     error estimate is too large to trust.
     """
+    # imported here, not at module level: scipy takes most of a cold
+    # ``import autohuber``, and only the oracle needs it
+    from scipy.integrate import quad
+
     core_lo = max(lo, -_CORE_WINDOW)
     core_hi = min(hi, _CORE_WINDOW)
     total = 0.0
@@ -148,6 +149,8 @@ def tau_star(noise: NoiseModel, sigma, n, z) -> OracleSolution:
         raise ValueError(
             f"oracle undefined: requires n > z^2 (n={n}, z^2={z * z:.6g})"
         )
+    from scipy.optimize import brentq
+
     q = 1.0 - z * z / n
 
     def g(t):

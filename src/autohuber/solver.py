@@ -153,7 +153,12 @@ def _projected_grad_tau(g_tau: float, tau: float, floor: float) -> float:
     return g_tau
 
 
-def _armijo_coordinate(y, mu, tau, z, loss0, which, g, curv, floor):
+def _residual(g_mu: float, g_tau: float, tau: float, floor: float) -> float:
+    """Optimality residual max(|g_mu|, |projected g_tau|)."""
+    return max(abs(g_mu), abs(_projected_grad_tau(g_tau, tau, floor)))
+
+
+def _armijo_coordinate(y, mu, tau, z, loss0, which, g, curv, floor, y_range):
     """One backtracking step along a single coordinate.
 
     Returns the new (mu, tau, loss).  The initial trial step is the inverse
@@ -178,9 +183,9 @@ def _armijo_coordinate(y, mu, tau, z, loss0, which, g, curv, floor):
             return mu, tau, loss0
         if math.isfinite(x_new):
             if which == "mu":
-                trial = kernels.total_loss(y, x_new, tau, z)
+                trial = kernels.total_loss(y, x_new, tau, z, y_range)
             else:
-                trial = kernels.total_loss(y, mu, x_new, z)
+                trial = kernels.total_loss(y, mu, x_new, z, y_range)
             # g * (x - x_new) >= 0 by construction, also after projection
             if trial <= loss0 - _ARMIJO_C1 * g * (x - x_new):
                 if which == "mu":
@@ -190,7 +195,7 @@ def _armijo_coordinate(y, mu, tau, z, loss0, which, g, curv, floor):
     return mu, tau, loss0
 
 
-def _converged_flag(y, mu, tau, z, floor, target_tol):
+def _converged_flag(ev, mu, tau, floor, target_tol):
     """Optimality residual and convergence decision at a candidate point.
 
     Convergence means each gradient coordinate is within the requested
@@ -198,21 +203,21 @@ def _converged_flag(y, mu, tau, z, floor, target_tol):
     one ulp changes its gradient by about curvature * ulp, so when that
     exceeds the tolerance (tiny tau pinned at its floor makes the mu
     curvature enormous) no representable point can do better and the best
-    representable point counts as converged.
+    representable point counts as converged.  ``ev`` is
+    ``kernels.grad_hess`` at (mu, tau).
     """
-    g_mu, g_tau = kernels.grad_pair(y, mu, tau, z)
+    g_mu, g_tau, h_mm, _, h_tt = ev
     g_t = _projected_grad_tau(g_tau, tau, floor)
     g_norm = max(abs(g_mu), abs(g_t))
     if g_norm <= target_tol:
         return g_norm, True
-    h_mm, _, h_tt = kernels.hessian(y, mu, tau, z)
     eps = float(np.finfo(float).eps)
     ok_mu = abs(g_mu) <= max(target_tol, 8.0 * h_mm * eps * max(1.0, abs(mu)))
     ok_tau = abs(g_t) <= max(target_tol, 8.0 * h_tt * eps * max(1.0, tau))
     return g_norm, ok_mu and ok_tau
 
 
-def _polish(y, mu, tau, z, floor, rounds=12):
+def _polish(y, tau, z, floor, y_range, med, rounds=12):
     """Finishing refinement once the backtracking sweeps stall.
 
     Near the optimum the per-sweep loss decrease drops below the float64
@@ -224,14 +229,15 @@ def _polish(y, mu, tau, z, floor, rounds=12):
     the valley instead: recenter mu exactly at the current tau, then step tau
     by the profile gradient over the profile (Schur complement) curvature.
     Steps are capped at half of tau, and only steps that reduce the
-    optimality residual are kept.
+    optimality residual are kept.  Returns the best point and its
+    ``kernels.grad_hess`` evaluation.
     """
-    mu = _newton_fixed_tau(y, tau, z)
-    g_mu, g_tau = kernels.grad_pair(y, mu, tau, z)
-    best = (mu, tau)
-    best_norm = max(abs(g_mu), abs(_projected_grad_tau(g_tau, tau, floor)))
+    mu = _newton_fixed_tau(y, tau, z, y_range, med)
+    ev = kernels.grad_hess(y, mu, tau, z, y_range)
+    best = (mu, tau, ev)
+    best_norm = _residual(ev[0], ev[1], tau, floor)
     for _ in range(rounds):
-        h_mm, h_mt, h_tt = kernels.hessian(y, mu, tau, z)
+        _, g_tau, h_mm, h_mt, h_tt = ev
         h_prof = h_tt - (h_mt * h_mt / h_mm if h_mm > 0.0 else 0.0)
         if not (h_prof > 0.0 and math.isfinite(h_prof)):
             break
@@ -240,19 +246,22 @@ def _polish(y, mu, tau, z, floor, rounds=12):
         if abs(step) > cap:
             step = math.copysign(cap, step)
         tau = max(tau - step, floor)
-        mu = _newton_fixed_tau(y, tau, z)
-        g_mu, g_tau = kernels.grad_pair(y, mu, tau, z)
-        norm = max(abs(g_mu), abs(_projected_grad_tau(g_tau, tau, floor)))
+        mu = _newton_fixed_tau(y, tau, z, y_range, med)
+        ev = kernels.grad_hess(y, mu, tau, z, y_range)
+        norm = _residual(ev[0], ev[1], tau, floor)
         if norm < best_norm:
             best_norm = norm
-            best = (mu, tau)
+            best = (mu, tau, ev)
         else:
             break
-    return best[0], best[1], best_norm
+    return best
 
 
-def _agd(y, mu, tau, z, floor, target_tol, max_iters):
-    loss = kernels.total_loss(y, mu, tau, z)
+def _agd(y, mu, tau, z, floor, target_tol, max_iters, y_range, med):
+    loss = kernels.total_loss(y, mu, tau, z, y_range)
+    # the derivatives at the current point; each sweep ends by evaluating
+    # them at its end point, which is where the next sweep starts
+    ev = kernels.grad_hess(y, mu, tau, z, y_range)
     converged = False
     it = 0
     g_norm = math.inf
@@ -260,12 +269,16 @@ def _agd(y, mu, tau, z, floor, target_tol, max_iters):
     for it in range(1, max_iters + 1):
         mu_prev, tau_prev, loss_prev = mu, tau, loss
         # tau step first, then mu at the updated tau
-        _, g_tau = kernels.grad_pair(y, mu, tau, z)
-        _, _, h_tt = kernels.hessian(y, mu, tau, z)
-        mu, tau, loss = _armijo_coordinate(y, mu, tau, z, loss, "tau", g_tau, h_tt, floor)
-        g_mu, _ = kernels.grad_pair(y, mu, tau, z)
-        h_mm, _, _ = kernels.hessian(y, mu, tau, z)
-        mu, tau, loss = _armijo_coordinate(y, mu, tau, z, loss, "mu", g_mu, h_mm, floor)
+        g_tau, h_tt = ev[1], ev[4]
+        mu, tau, loss = _armijo_coordinate(
+            y, mu, tau, z, loss, "tau", g_tau, h_tt, floor, y_range
+        )
+        if tau != tau_prev:
+            ev = kernels.grad_hess(y, mu, tau, z, y_range)
+        g_mu, h_mm = ev[0], ev[2]
+        mu, tau, loss = _armijo_coordinate(
+            y, mu, tau, z, loss, "mu", g_mu, h_mm, floor, y_range
+        )
         if loss > loss_prev:
             raise RuntimeError("descent violated: objective increased within a sweep")
         moved = (
@@ -282,11 +295,12 @@ def _agd(y, mu, tau, z, floor, target_tol, max_iters):
             plateau = 0
         if not moved or plateau >= _PLATEAU_SWEEPS:
             # fixed point of the sweep map at working precision
-            mu, tau, g_norm = _polish(y, mu, tau, z, floor)
-            g_norm, converged = _converged_flag(y, mu, tau, z, floor, target_tol)
+            mu, tau, ev = _polish(y, tau, z, floor, y_range, med)
+            g_norm, converged = _converged_flag(ev, mu, tau, floor, target_tol)
             break
-        g_mu, g_tau = kernels.grad_pair(y, mu, tau, z)
-        g_norm = max(abs(g_mu), abs(_projected_grad_tau(g_tau, tau, floor)))
+        if mu != mu_prev:
+            ev = kernels.grad_hess(y, mu, tau, z, y_range)
+        g_norm = _residual(ev[0], ev[1], tau, floor)
     return mu, tau, it, g_norm, converged
 
 
@@ -294,14 +308,14 @@ def _agd(y, mu, tau, z, floor, target_tol, max_iters):
 _MAX_BISECT = 2200
 
 
-def _bisect_grad_mu(y, tau, z, lo, hi):
+def _bisect_grad_mu(y, tau, z, lo, hi, y_range):
     # grad_mu is strictly increasing in mu; sign change is guaranteed on
     # [min y, max y]
     for _ in range(_MAX_BISECT):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        g, _ = kernels.grad_pair(y, mid, tau, z)
+        g, _ = kernels.grad_pair(y, mid, tau, z, y_range)
         if g < 0.0:
             lo = mid
         elif g > 0.0:
@@ -311,16 +325,16 @@ def _bisect_grad_mu(y, tau, z, lo, hi):
     return 0.5 * (lo + hi)
 
 
-def _bisect_grad_tau(y, mu, z, floor, hint):
-    _, g_floor = kernels.grad_pair(y, mu, floor, z)
+def _bisect_grad_tau(y, mu, z, floor, hint, y_range):
+    _, g_floor = kernels.grad_pair(y, mu, floor, z, y_range)
     if g_floor >= 0.0:
         return floor
     hi = max(2.0 * floor, hint)
-    _, g_hi = kernels.grad_pair(y, mu, hi, z)
+    _, g_hi = kernels.grad_pair(y, mu, hi, z, y_range)
     doubles = 0
     while g_hi <= 0.0 and doubles < 400:
         hi *= 2.0
-        _, g_hi = kernels.grad_pair(y, mu, hi, z)
+        _, g_hi = kernels.grad_pair(y, mu, hi, z, y_range)
         doubles += 1
     if g_hi <= 0.0:  # pragma: no cover - grad_tau -> z/sqrt(n) > 0
         raise RuntimeError("failed to bracket the tau stationarity equation")
@@ -329,7 +343,7 @@ def _bisect_grad_tau(y, mu, z, floor, hint):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        _, g = kernels.grad_pair(y, mu, mid, z)
+        _, g = kernels.grad_pair(y, mu, mid, z, y_range)
         if g < 0.0:
             lo = mid
         elif g > 0.0:
@@ -339,21 +353,21 @@ def _bisect_grad_tau(y, mu, z, floor, hint):
     return 0.5 * (lo + hi)
 
 
-def _exact_coordinate(y, mu, tau, z, floor, target_tol, max_iters):
-    lo = float(np.min(y))
-    hi = float(np.max(y))
+def _exact_coordinate(y, mu, tau, z, floor, target_tol, max_iters, y_range):
+    lo, hi = y_range
     it = 0
     for it in range(1, max_iters + 1):
         mu_prev, tau_prev = mu, tau
-        mu = _bisect_grad_mu(y, tau, z, lo, hi)
-        tau = _bisect_grad_tau(y, mu, z, floor, hint=tau)
+        mu = _bisect_grad_mu(y, tau, z, lo, hi, y_range)
+        tau = _bisect_grad_tau(y, mu, z, floor, tau, y_range)
         moved = (
             abs(mu - mu_prev) > _STEP_RTOL * max(1.0, abs(mu), abs(mu_prev))
             or abs(tau - tau_prev) > _STEP_RTOL * max(1.0, tau, tau_prev)
         )
         if not moved:
             break
-    g_norm, converged = _converged_flag(y, mu, tau, z, floor, target_tol)
+    ev = kernels.grad_hess(y, mu, tau, z, y_range)
+    g_norm, converged = _converged_flag(ev, mu, tau, floor, target_tol)
     return mu, tau, it, g_norm, converged
 
 
@@ -378,11 +392,10 @@ def _collapse_possible(y, n, z) -> bool:
     return counts.max() / n >= 0.5 * (1.0 - z * z / n)
 
 
-def _fit_at_floor(y, z, floor):
-    """Minimize over mu at tau = floor; returns (mu, grad_tau there)."""
-    mu = _newton_fixed_tau(y, floor, z)
-    _, g_tau = kernels.grad_pair(y, mu, floor, z)
-    return mu, g_tau
+def _fit_at_floor(y, z, floor, y_range, med):
+    """Minimize over mu at tau = floor; returns mu and ``grad_hess`` there."""
+    mu = _newton_fixed_tau(y, floor, z, y_range, med)
+    return mu, kernels.grad_hess(y, mu, floor, z, y_range)
 
 
 def fit(data, config: EstimatorConfig | None = None) -> FitResult:
@@ -409,7 +422,8 @@ def fit(data, config: EstimatorConfig | None = None) -> FitResult:
             TauCollapseWarning,
             stacklevel=2,
         )
-    if n == 1 or np.all(y == y[0]):
+    y_range = (float(y.min()), float(y.max()))
+    if y_range[0] == y_range[1]:
         return FitResult(
             mu_hat=float(y[0]),
             tau_hat=floor,
@@ -423,9 +437,9 @@ def fit(data, config: EstimatorConfig | None = None) -> FitResult:
         # the tau profile is strictly convex, so an uphill profile gradient
         # at the floor proves the joint minimizer sits on the boundary; the
         # sweep strategies would crawl along the collapsing valley instead
-        mu_b, g_tau_b = _fit_at_floor(y, z, floor)
-        if g_tau_b >= 0.0:
-            g_norm, converged = _converged_flag(y, mu_b, floor, z, floor, target_tol)
+        mu_b, ev = _fit_at_floor(y, z, floor, y_range, med)
+        if ev[1] >= 0.0:
+            g_norm, converged = _converged_flag(ev, mu_b, floor, floor, target_tol)
             return FitResult(
                 mu_hat=float(mu_b),
                 tau_hat=floor,
@@ -442,11 +456,11 @@ def fit(data, config: EstimatorConfig | None = None) -> FitResult:
         tau0 = max(1.4826 * mad, floor) * math.sqrt(n) / z
     if cfg.strategy == "agd":
         mu, tau, it, g_norm, converged = _agd(
-            y, mu0, tau0, z, floor, target_tol, cfg.max_iters
+            y, mu0, tau0, z, floor, target_tol, cfg.max_iters, y_range, med
         )
     else:
         mu, tau, it, g_norm, converged = _exact_coordinate(
-            y, mu0, tau0, z, floor, target_tol, cfg.max_iters
+            y, mu0, tau0, z, floor, target_tol, cfg.max_iters, y_range
         )
     return FitResult(
         mu_hat=float(mu),
@@ -458,23 +472,21 @@ def fit(data, config: EstimatorConfig | None = None) -> FitResult:
     )
 
 
-def _newton_fixed_tau(y, tau, z):
-    # bracketed Newton on the strictly increasing mu-gradient; falls back to
+def _newton_fixed_tau(y, tau, z, y_range, mu):
+    # bracketed Newton on the strictly increasing mu-gradient, started at mu
+    # (the median) inside the bracket y_range = (min y, max y); falls back to
     # bisection whenever the Newton trial leaves the bracket
-    lo = float(np.min(y))
-    hi = float(np.max(y))
+    lo, hi = y_range
     if lo == hi:
         return lo
-    mu = float(np.median(y))
     for _ in range(_MAX_BISECT):
-        g, _ = kernels.grad_pair(y, mu, tau, z)
+        g, _, h_mm, _, _ = kernels.grad_hess(y, mu, tau, z, y_range)
         if g > 0.0:
             hi = mu
         elif g < 0.0:
             lo = mu
         else:
             return mu
-        h_mm, _, _ = kernels.hessian(y, mu, tau, z)
         mu_new = mu - g / h_mm if h_mm > 0.0 else 0.5 * (lo + hi)
         if not (lo < mu_new < hi):
             mu_new = 0.5 * (lo + hi)
@@ -494,7 +506,8 @@ def fit_fixed_tau(data, tau, config: EstimatorConfig | None = None) -> float:
     y = as_sample(data)
     if not (math.isfinite(tau) and tau > 0.0):
         raise ValueError(f"tau must be positive and finite, got {tau!r}")
-    return _newton_fixed_tau(y, float(tau), cfg.z)
+    y_range = (float(y.min()), float(y.max()))
+    return _newton_fixed_tau(y, float(tau), cfg.z, y_range, float(np.median(y)))
 
 
 def profile_tau_gradient(data, tau, config: EstimatorConfig | None = None) -> float:
@@ -532,9 +545,10 @@ def diagnostics(
     z = cfg.z
     mu_hat = fit_result.mu_hat
     tau_hat = fit_result.tau_hat
-    g_mu, g_tau = kernels.grad_pair(y, mu_hat, tau_hat, z)
+    y_range = (float(y.min()), float(y.max()))
+    g_mu, g_tau = kernels.grad_pair(y, mu_hat, tau_hat, z, y_range)
     grid = np.linspace(mu_hat - ball_radius, mu_hat + ball_radius, 64)
-    kappa = min(kernels.hessian(y, float(m), tau_hat, z)[0] for m in grid)
+    kappa = min(kernels.hessian(y, float(m), tau_hat, z, y_range)[0] for m in grid)
     return DiagnosticsReport(
         stationarity_mu=float(g_mu),
         stationarity_tau=float(g_tau),

@@ -67,20 +67,24 @@ class TestEstimate:
     def test_json_matches_library(self, tmp_path, capsys):
         rng = np.random.default_rng(42)
         values = list(rng.standard_t(df=3, size=400))
-        path = _write_values(tmp_path / "d.txt", values)
-        code = main(["estimate", path, "--z", "2.0", "--format", "json"])
-        payload = json.loads(capsys.readouterr().out)
-        res = fit(values, EstimatorConfig(z_override=2.0))
-        assert code == 0
-        assert payload["mu_hat"] == res.mu_hat
-        assert payload["tau_hat"] == res.tau_hat
-        assert payload["iterations"] == res.iterations
-        assert payload["grad_norm"] == res.grad_norm
-        assert payload["converged"] is True
-        assert payload["degenerate"] is False
-        assert payload["n"] == 400
-        assert payload["z"] == 2.0
-        assert payload["warnings"] == []
+        # a single 1e250 outlier takes the kernels off their square-root
+        # path; the payload must still list no numpy warning
+        with_outlier = values[:-1] + [1e250]
+        for name, data in (("d.txt", values), ("outlier.txt", with_outlier)):
+            path = _write_values(tmp_path / name, data)
+            code = main(["estimate", path, "--z", "2.0", "--format", "json"])
+            payload = json.loads(capsys.readouterr().out)
+            res = fit(data, EstimatorConfig(z_override=2.0))
+            assert code == 0
+            assert payload["mu_hat"] == res.mu_hat
+            assert payload["tau_hat"] == res.tau_hat
+            assert payload["iterations"] == res.iterations
+            assert payload["grad_norm"] == res.grad_norm
+            assert payload["converged"] is True
+            assert payload["degenerate"] is False
+            assert payload["n"] == 400
+            assert payload["z"] == 2.0
+            assert payload["warnings"] == []
 
     def test_text_output_fields(self, tmp_path, capsys):
         rng = np.random.default_rng(1)

@@ -1,23 +1,8 @@
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
-import pytest
 
 from autohuber import kernels
-
-# Decided here rather than read from the module, so the backend contract is
-# checked against what this interpreter can import, not against itself.
-try:
-    import numba  # noqa: F401
-
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
-
-IMPORTABLE_BACKENDS = ("numpy", "numba") if HAVE_NUMBA else ("numpy",)
 
 
 def _random_instance(rng):
@@ -30,12 +15,25 @@ def _random_instance(rng):
     return y, mu, tau, z
 
 
+def _fallback_instances(rng):
+    """Inputs outside the square-root band, which take the hypot arithmetic."""
+    y = rng.normal(0.0, 1.0, 300)
+    outlier = y.copy()
+    outlier[17] = 3e200
+    return [
+        (1e-160 * y, 1e-161, 2e-160, 4.0),  # tau below the band
+        (1e160 * y, 1e159, 2e160, 4.0),  # tau above the band
+        (outlier, 0.1, 1.5, 4.0),  # a residual beyond 1e154, ordinary tau
+        (y, -1e200, 1.5, 4.0),  # mu beyond 1e154 from every point
+    ]
+
+
 def _reference(y, mu, tau, z):
     """Loss, gradient pair and Hessian entries with every sum correctly rounded.
 
     Same per-element terms as the kernels (math.hypot, cancellation-safe
     excess for |r| <= tau), summed with math.fsum so the only error left in
-    a backend's result is its own summation and rounding.
+    the kernels' result is their own summation and rounding.
     """
     excess, d_mu, d_tau, h_mm, h_mt, h_tt = [], [], [], [], [], []
     for yi in y.tolist():
@@ -59,41 +57,6 @@ def _reference(y, mu, tau, z):
     return loss, grad, hess
 
 
-@pytest.fixture()
-def restore_backend():
-    before = kernels.BACKEND
-    yield
-    kernels.use_backend(before)
-
-
-def test_both_backends_available():
-    # numba is optional: both backends when it imports, numpy alone otherwise
-    assert kernels.available_backends() == IMPORTABLE_BACKENDS
-    assert kernels.BACKEND in kernels.available_backends()
-
-
-def test_get_kernels_rejects_unknown_name():
-    with pytest.raises(ValueError, match="unknown backend"):
-        kernels.get_kernels("fortran")
-
-
-def test_use_backend_rebinds_module_functions(restore_backend):
-    table = kernels.use_backend("numpy")
-    assert kernels.BACKEND == "numpy"
-    assert kernels.total_loss is table["total_loss"]
-    if HAVE_NUMBA:
-        kernels.use_backend("numba")
-        assert kernels.BACKEND == "numba"
-        assert kernels.total_loss is kernels.get_kernels("numba")["total_loss"]
-    else:
-        with pytest.raises(RuntimeError, match="numba"):
-            kernels.use_backend("numba")
-        # a failed switch leaves every name bound to the previous backend
-        assert kernels.BACKEND == "numpy"
-        for name in ("total_loss", "grad_pair", "hessian"):
-            assert getattr(kernels, name) is table[name]
-
-
 def _assert_results_close(a, b):
     loss_a, grad_a, hess_a = a
     loss_b, grad_b, hess_b = b
@@ -104,23 +67,27 @@ def _assert_results_close(a, b):
         assert math.isclose(x, w, rel_tol=1e-12, abs_tol=1e-16)
 
 
+def _kernel_results(y, mu, tau, z, y_range=None):
+    loss = kernels.total_loss(y, mu, tau, z, y_range)
+    grad = kernels.grad_pair(y, mu, tau, z, y_range)
+    hess = kernels.hessian(y, mu, tau, z, y_range)
+    # grad_pair and hessian are the two halves of the fused pass
+    assert kernels.grad_hess(y, mu, tau, z, y_range) == grad + hess
+    return loss, grad, hess
+
+
 def test_backends_agree_on_random_instances():
-    # every importable backend against the exact-summation reference, and
-    # numpy directly against numba wherever numba imports
+    # the kernels against the exact-summation reference, on the square-root
+    # path and on the hypot fallback, with the residual range found by the
+    # kernels and with it handed in as the solver does
     rng = np.random.default_rng(91)
-    tables = [kernels.get_kernels(name) for name in IMPORTABLE_BACKENDS]
-    for _ in range(150):
-        y, mu, tau, z = _random_instance(rng)
-        results = [
-            (k["total_loss"](y, mu, tau, z), k["grad_pair"](y, mu, tau, z),
-             k["hessian"](y, mu, tau, z))
-            for k in tables
-        ]
+    instances = [_random_instance(rng) for _ in range(150)]
+    instances += _fallback_instances(np.random.default_rng(93))
+    for y, mu, tau, z in instances:
         expected = _reference(y, mu, tau, z)
-        for got in results:
-            _assert_results_close(got, expected)
-        for other in results[1:]:
-            _assert_results_close(results[0], other)
+        got = _kernel_results(y, mu, tau, z)
+        _assert_results_close(got, expected)
+        assert _kernel_results(y, mu, tau, z, (y.min(), y.max())) == got
 
 
 def _assert_loss_and_grad_close(a, b):
@@ -134,80 +101,45 @@ def _assert_loss_and_grad_close(a, b):
 def test_backends_agree_on_large_sample():
     rng = np.random.default_rng(92)
     y = rng.standard_t(3, size=200_000)
-    args = (y, 0.3, 4.0, 10.7)
-    tables = [kernels.get_kernels(name) for name in IMPORTABLE_BACKENDS]
-    results = [(k["total_loss"](*args), k["grad_pair"](*args)) for k in tables]
-    expected_loss, expected_grad, _ = _reference(*args)
-    for got in results:
+    outlier = y.copy()
+    outlier[1234] = 3e200
+    cases = [
+        (y, 0.3, 4.0, 10.7),
+        # the hypot fallback: tau below the band, above it, and a residual
+        # beyond 1e154 with an ordinary tau
+        (1e-160 * y, 3e-161, 4e-160, 10.7),
+        (1e160 * y, 3e159, 4e160, 10.7),
+        (outlier, 0.3, 4.0, 10.7),
+    ]
+    for args in cases:
+        got = (kernels.total_loss(*args), kernels.grad_pair(*args))
+        expected_loss, expected_grad, _ = _reference(*args)
         _assert_loss_and_grad_close(got, (expected_loss, expected_grad))
-    for other in results[1:]:
-        _assert_loss_and_grad_close(results[0], other)
 
 
 def test_huge_residuals_do_not_overflow():
     # hypot plus the (r / (h + tau)) * r form keep everything finite even when
     # r*r would overflow
     y = np.array([1e200, -1e200, 0.0])
-    for backend in kernels.available_backends():
-        k = kernels.get_kernels(backend)
-        loss = k["total_loss"](y, 0.0, 1.0, 2.0)
-        assert math.isfinite(loss)
-        g_mu, g_tau = k["grad_pair"](y, 0.0, 1.0, 2.0)
-        assert math.isfinite(g_mu) and math.isfinite(g_tau)
-        for entry in k["hessian"](y, 0.0, 1.0, 2.0):
-            assert math.isfinite(entry)
+    loss = kernels.total_loss(y, 0.0, 1.0, 2.0)
+    assert math.isfinite(loss)
+    g_mu, g_tau = kernels.grad_pair(y, 0.0, 1.0, 2.0)
+    assert math.isfinite(g_mu) and math.isfinite(g_tau)
+    for entry in kernels.hessian(y, 0.0, 1.0, 2.0):
+        assert math.isfinite(entry)
 
 
 def test_huge_tau_and_huge_residuals_together():
     y = np.array([3e200, -4e200])
-    for backend in kernels.available_backends():
-        k = kernels.get_kernels(backend)
-        assert math.isfinite(k["total_loss"](y, 0.0, 2e200, 1.0))
+    assert math.isfinite(kernels.total_loss(y, 0.0, 2e200, 1.0))
 
 
 def test_tiny_residual_excess_keeps_precision():
-    # the naive sqrt(tau^2+r^2)-tau would return 0.0 for r=1e-9, tau=1;
-    # the rationalized form returns ~r^2/(2 tau)
+    # the naive sqrt(tau^2+r^2)-tau returns 0.0 for r=1e-9, tau=1, where the
+    # cancellation-safe form returns ~r^2/(2 tau); a tiny z makes that excess
+    # dominate the loss instead of drowning in the penalty z*tau/sqrt(n)
     y = np.array([1e-9])
-    for backend in kernels.available_backends():
-        k = kernels.get_kernels(backend)
-        loss = k["total_loss"](y, 0.0, 1.0, 1.0)
-        expected = 0.5e-18 + 1.0
-        assert math.isclose(loss, expected, rel_tol=1e-12)
-
-
-def _spawn_with_env(value):
-    env = dict(os.environ)
-    if value is None:
-        env.pop(kernels.ENV_VAR, None)
-    else:
-        env[kernels.ENV_VAR] = value
-    code = "import autohuber.kernels as k; print(k.BACKEND)"
-    return subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-
-
-def test_env_var_selects_backend():
-    out = _spawn_with_env("numpy")
-    assert out.returncode == 0
-    assert out.stdout.strip() == "numpy"
-    out = _spawn_with_env("numba")
-    if HAVE_NUMBA:
-        assert out.returncode == 0
-        assert out.stdout.strip() == "numba"
-    else:
-        # =numba requires numba: the import fails and says why
-        assert out.returncode != 0
-        error = out.stderr.strip().splitlines()[-1]
-        assert error.startswith("RuntimeError")
-        assert kernels.ENV_VAR in error and "numba" in error
-    out = _spawn_with_env(None)
-    assert out.returncode == 0
-    assert out.stdout.strip() == ("numba" if HAVE_NUMBA else "numpy")
-
-
-def test_env_var_rejects_unknown_backend():
-    out = _spawn_with_env("cython")
-    assert out.returncode != 0
-    assert kernels.ENV_VAR in out.stderr
+    z = 1e-12
+    loss = kernels.total_loss(y, 0.0, 1.0, z)
+    expected = 0.5e-18 / z + z
+    assert math.isclose(loss, expected, rel_tol=1e-12)

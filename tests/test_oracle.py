@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -189,3 +191,23 @@ class TestTauStar:
         assert isinstance(sol, OracleSolution)
         assert sol.lower_bound_sq <= sol.tau_star**2 <= sol.upper_bound_sq
         assert 0.0 <= sol.sigma_tau_star_sq <= 0.25 + 1e-12
+
+
+def test_scipy_loaded_only_by_the_oracle(tmp_path):
+    # the oracle imports scipy where it integrates and solves, so importing
+    # the package, fitting and ``autohuber estimate`` never load it
+    path = tmp_path / "d.txt"
+    path.write_text("".join(f"{((i * 37) % 101) / 10.0}\n" for i in range(256)))
+    code = (
+        "import sys\n"
+        "import autohuber\n"
+        "from autohuber import cli\n"
+        "autohuber.fit([((i * 37) % 101) / 10.0 for i in range(256)])\n"
+        f"assert cli.main(['estimate', {str(path)!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip().splitlines()[-1] == "[]"
