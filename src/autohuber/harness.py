@@ -22,7 +22,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -316,18 +316,12 @@ def merge_adaptivity(deviation: StudyResult, adaptivity: StudyResult) -> StudyRe
             merged.append(row)
         else:
             merged.append(
-                StudyRow(
-                    estimator=row.estimator,
-                    n=row.n,
-                    q50=row.q50,
-                    q90=row.q90,
-                    q95=row.q95,
-                    q99=row.q99,
+                replace(
+                    row,
                     median_tau_hat=extra.median_tau_hat,
                     tau_star=extra.tau_star,
                     coverage=extra.coverage,
                     slope=extra.slope,
-                    failures=row.failures,
                 )
             )
     return StudyResult(rows=tuple(merged))

@@ -2,10 +2,11 @@
 
 Everything here reduces a residual vector to a handful of scalars: the
 objective value, its gradient in (mu, tau), and the three distinct entries of
-its Hessian.  ``grad_hess`` is the solver's workhorse: one pass over the
-sample that returns the gradient and the Hessian together, so a point costs
-one residual vector and one root vector however many of its derivatives the
-caller needs.  ``grad_pair`` and ``hessian`` are that same pass.
+its Hessian.  ``loss_grad_hess`` is the solver's workhorse: one pass over
+the sample that returns the objective, the gradient and the Hessian
+together, so a point costs one residual vector and one root vector however
+much of it the caller needs.  ``grad_hess``, ``grad_pair`` and ``hessian``
+are that same pass without the objective.
 
 The objective for a sample y_1..y_n with residuals r_i = y_i - mu is
 
@@ -18,11 +19,11 @@ is computed exactly that way whenever tau lies in [1e-150, 1e150] and no
 underflow.  Otherwise ``np.hypot`` takes over, which is finite for any
 float64 input but makes a pass over a large sample about twice as slow.
 The excess term sqrt(tau^2 + r^2) - tau is evaluated as r^2 / (h + tau),
-or as (r / (h + tau)) * r on the hypot side so that r is never squared,
-which avoids the cancellation that kills the naive form for small
-residuals.  Hessian entries use the normalized ratios u = tau/h, v = r/h (both bounded
-by 1 in magnitude), again so that nothing overflows before it is divided.
-Sums are numpy's pairwise sums.
+or as (r / (h + tau)) * r on the hypot side and in ``loss_grad_hess`` so
+that r is never squared, which avoids the cancellation that kills the naive
+form for small residuals.  Hessian entries use the normalized ratios
+u = tau/h, v = r/h (both bounded by 1 in magnitude), again so that nothing
+overflows before it is divided.  Sums are numpy's pairwise sums.
 
 Whether every residual is inside the band follows from the sample's range:
 pass ``y_range=(min(y), max(y))`` to decide it without a pass over y, which
@@ -90,19 +91,32 @@ def total_loss(y, mu, tau, z, y_range=None):
     return float(e.sum() / (z * sqrt_n) + z * tau / sqrt_n)
 
 
-def _derivatives(y, mu, tau, z, y_range, second_order):
+def _pass(y, mu, tau, z, y_range, with_loss, second_order):
+    """Objective (optional), gradient and Hessian (optional) in one sweep.
+
+    At most four n-length arrays are live: r (later v = r/h), h, u and a
+    scratch array t.
+    """
     n = y.shape[0]
     sqrt_n = math.sqrt(n)
     c = 1.0 / (z * sqrt_n)
     r = np.subtract(y, mu)
     h = _root(r, tau, sqrt_safe(y, mu, tau, y_range))
     u = np.divide(tau, h)
+    loss = ()
+    t = None
+    if with_loss:
+        # the excess as (r / (h + tau)) * r, never squaring r
+        t = np.add(h, tau)
+        np.divide(r, t, out=t)
+        t *= r
+        loss = (float(t.sum() / (z * sqrt_n) + z * tau / sqrt_n),)
     v = np.divide(r, h, out=r)
     g_mu = -float(v.sum()) * c
     g_tau = float(u.sum()) * c - (sqrt_n / z - z / sqrt_n)
     if not second_order:
-        return g_mu, g_tau
-    t = np.multiply(u, u)
+        return loss + (g_mu, g_tau)
+    t = np.multiply(u, u, out=t)
     t /= h
     h_mm = float(t.sum()) * c
     np.multiply(u, v, out=t)
@@ -111,19 +125,24 @@ def _derivatives(y, mu, tau, z, y_range, second_order):
     np.multiply(v, v, out=t)
     t /= h
     h_tt = float(t.sum()) * c
-    return g_mu, g_tau, h_mm, h_mt, h_tt
+    return loss + (g_mu, g_tau, h_mm, h_mt, h_tt)
+
+
+def loss_grad_hess(y, mu, tau, z, y_range=None):
+    """(loss, g_mu, g_tau, h_mumu, h_mutau, h_tautau) from a single pass."""
+    return _pass(y, mu, tau, z, y_range, True, True)
 
 
 def grad_hess(y, mu, tau, z, y_range=None):
     """(g_mu, g_tau, h_mumu, h_mutau, h_tautau) from a single pass."""
-    return _derivatives(y, mu, tau, z, y_range, True)
+    return _pass(y, mu, tau, z, y_range, False, True)
 
 
 def grad_pair(y, mu, tau, z, y_range=None):
     """(g_mu, g_tau): the first half of ``grad_hess``."""
-    return _derivatives(y, mu, tau, z, y_range, False)
+    return _pass(y, mu, tau, z, y_range, False, False)
 
 
 def hessian(y, mu, tau, z, y_range=None):
     """(h_mumu, h_mutau, h_tautau): the second half of ``grad_hess``."""
-    return _derivatives(y, mu, tau, z, y_range, True)[2:]
+    return _pass(y, mu, tau, z, y_range, False, True)[2:]

@@ -3,16 +3,22 @@
 Two strategies minimize the same strictly convex objective:
 
 ``agd``
-    Alternating coordinate descent.  Each sweep takes a tau step from the
-    current point, then a mu step at the updated tau.  Steps start from the
-    inverse of the coordinate curvature (a one-dimensional Newton step) and
-    are safeguarded by Armijo backtracking, so the objective never increases.
-    When the sweeps stall at the resolution of float64 loss comparisons, a
-    short capped refinement drives the gradient down to its rounding floor.
+    The default engine (the name is kept for compatibility): a damped
+    projected Newton iteration on (mu, tau) jointly (Bertsekas 1982,
+    projected Newton methods for simple bounds) with Armijo backtracking
+    and tau projected onto [tau_floor, inf).  Each trial point costs one
+    kernel pass that returns the objective, the gradient and the Hessian,
+    so an accepted step carries the next step's data; a default fit
+    typically takes four to seven passes.
 ``exact_coordinate``
     Alternating exact one-dimensional minimizations by bisection on the
     coordinate gradients.  Slower but assumption-free; it exists as an
     independent check on ``agd`` and the two must land on the same optimum.
+
+Both stop on rules without units: the gradient is dimensionless and is
+compared with ``grad_tol`` as it is, and float64 attainability is judged at
+each coordinate's own size, so a sample scaled by 1e-300 or 1e300 converges
+exactly as the sample itself does.
 
 tau is kept in [tau_floor, inf).  When the penalty coefficient
 sqrt(n)/z - z/sqrt(n) is nonpositive (n <= z^2) the objective is strictly
@@ -28,15 +34,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .loss import Hessian2x2, as_sample
+from .loss import as_sample
 
 _ARMIJO_C1 = 1e-4
 _ARMIJO_SHRINK = 0.5
 _MAX_BACKTRACKS = 80
 _EPS = float(np.finfo(np.float64).eps)
-# consecutive sweeps without a representable loss decrease before the sweep
-# loop hands over to the polishing phase
-_PLATEAU_SWEEPS = 2
+# a predicted decrease below this many ulps of the objective is beyond what
+# a float64 loss comparison can certify
+_LOSS_ULPS = 16.0
 # relative parameter movement below which a sweep counts as stationary
 _STEP_RTOL = 1e-13
 
@@ -61,14 +67,17 @@ class EstimatorConfig:
     z_override
         Use this z instead of ``default_z(delta)``.
     grad_tol
-        Convergence threshold on max(|grad_mu|, |grad_tau|), scaled by
-        max(1, data scale).
+        Convergence threshold on max(|grad_mu|, |grad_tau|).  The gradient
+        is dimensionless, so the threshold does not depend on the data's
+        units.
     max_iters
-        Sweep budget.
+        Iteration budget: Newton steps for "agd", sweeps for
+        "exact_coordinate".
     tau_floor
         Lower clamp for tau; default 1e-8 times the data scale.
     strategy
-        "agd" or "exact_coordinate".
+        "agd" (the joint Newton engine; the name is kept for compatibility)
+        or "exact_coordinate".
     init
         Optional (mu0, tau0) starting point; default is median / scaled MAD.
     """
@@ -136,13 +145,16 @@ def median_and_mad(data) -> tuple[float, float]:
     return med, mad
 
 
-def robust_scale(data) -> float:
-    """1.4826 * MAD, falling back to |median|; may be 0 for constant data."""
+def _median_scale(data) -> tuple[float, float]:
+    """Sample median and robust scale (1.4826 * MAD, falling back to |median|)."""
     med, mad = median_and_mad(data)
     scale = 1.4826 * mad
-    if scale == 0.0:
-        scale = abs(med)
-    return scale
+    return med, (scale if scale > 0.0 else abs(med))
+
+
+def robust_scale(data) -> float:
+    """1.4826 * MAD, falling back to |median|; may be 0 for constant data."""
+    return _median_scale(data)[1]
 
 
 def _projected_grad_tau(g_tau: float, tau: float, floor: float) -> float:
@@ -153,154 +165,137 @@ def _projected_grad_tau(g_tau: float, tau: float, floor: float) -> float:
     return g_tau
 
 
-def _residual(g_mu: float, g_tau: float, tau: float, floor: float) -> float:
-    """Optimality residual max(|g_mu|, |projected g_tau|)."""
-    return max(abs(g_mu), abs(_projected_grad_tau(g_tau, tau, floor)))
-
-
-def _armijo_coordinate(y, mu, tau, z, loss0, which, g, curv, floor, y_range):
-    """One backtracking step along a single coordinate.
-
-    Returns the new (mu, tau, loss).  The initial trial step is the inverse
-    curvature (Newton) step; backtracking halves it until the Armijo
-    sufficient-decrease test passes.  tau trials are projected onto
-    [floor, inf) before evaluation.  A failed search leaves the point alone.
-    """
-    if g == 0.0:
-        return mu, tau, loss0
-    x = mu if which == "mu" else tau
-    if curv > 0.0 and math.isfinite(curv):
-        eta = 1.0 / curv
-    else:
-        # curvature underflow (tau astronomically large): fall back to a step
-        # sized by the coordinate itself
-        eta = max(abs(x), 1.0) / abs(g)
-    for _ in range(_MAX_BACKTRACKS):
-        x_new = x - eta * g
-        if which == "tau" and x_new < floor:
-            x_new = floor
-        if x_new == x:
-            return mu, tau, loss0
-        if math.isfinite(x_new):
-            if which == "mu":
-                trial = kernels.total_loss(y, x_new, tau, z, y_range)
-            else:
-                trial = kernels.total_loss(y, mu, x_new, z, y_range)
-            # g * (x - x_new) >= 0 by construction, also after projection
-            if trial <= loss0 - _ARMIJO_C1 * g * (x - x_new):
-                if which == "mu":
-                    return x_new, tau, trial
-                return mu, x_new, trial
-        eta *= _ARMIJO_SHRINK
-    return mu, tau, loss0
-
-
-def _converged_flag(ev, mu, tau, floor, target_tol):
+def _converged_flag(ev, mu, tau, floor, scale, tol):
     """Optimality residual and convergence decision at a candidate point.
 
-    Convergence means each gradient coordinate is within the requested
-    tolerance or at its float64 attainability floor: moving a coordinate by
-    one ulp changes its gradient by about curvature * ulp, so when that
-    exceeds the tolerance (tiny tau pinned at its floor makes the mu
-    curvature enormous) no representable point can do better and the best
-    representable point counts as converged.  ``ev`` is
-    ``kernels.grad_hess`` at (mu, tau).
+    The gradient is dimensionless, so it is compared with ``tol`` as it is.
+    Convergence means each gradient coordinate is within ``tol`` or at its
+    float64 attainability floor: moving a coordinate by one ulp changes its
+    gradient by about curvature * ulp, so when that exceeds the tolerance
+    (tiny tau pinned at its floor makes the mu curvature enormous; mu at
+    1e15 has an ulp of 0.125) no representable point can do better and the
+    best representable point counts as converged.  The ulp is taken at the
+    coordinate's own size, max(|mu|, scale) for mu and tau for tau.  ``ev``
+    ends with ``kernels.grad_hess`` at (mu, tau).
     """
-    g_mu, g_tau, h_mm, _, h_tt = ev
+    g_mu, g_tau, h_mm, _, h_tt = ev[-5:]
     g_t = _projected_grad_tau(g_tau, tau, floor)
     g_norm = max(abs(g_mu), abs(g_t))
-    if g_norm <= target_tol:
+    if g_norm <= tol:
         return g_norm, True
-    eps = float(np.finfo(float).eps)
-    ok_mu = abs(g_mu) <= max(target_tol, 8.0 * h_mm * eps * max(1.0, abs(mu)))
-    ok_tau = abs(g_t) <= max(target_tol, 8.0 * h_tt * eps * max(1.0, tau))
+    ok_mu = abs(g_mu) <= max(tol, 8.0 * _EPS * (h_mm * max(abs(mu), scale)))
+    ok_tau = abs(g_t) <= max(tol, 8.0 * _EPS * (h_tt * tau))
     return g_norm, ok_mu and ok_tau
 
 
-def _polish(y, tau, z, floor, y_range, med, rounds=12):
-    """Finishing refinement once the backtracking sweeps stall.
+def _newton_step(ev, mu, tau, floor, span):
+    """Damped projected Newton step (d_mu, d_tau) at a point evaluated as ``ev``.
 
-    Near the optimum the per-sweep loss decrease drops below the float64
-    resolution of the objective, so the Armijo test can no longer certify
-    progress even though the gradient is still above tight tolerances.  The
-    leftover error lies along the (mu, tau) valley, where alternating steps
-    contract by only 1 - rho^2 per sweep (rho is the Hessian correlation, and
-    it approaches 1 for strongly coupled samples).  So the finish works along
-    the valley instead: recenter mu exactly at the current tau, then step tau
-    by the profile gradient over the profile (Schur complement) curvature.
-    Steps are capped at half of tau, and only steps that reduce the
-    optimality residual are kept.  Returns the best point and its
-    ``kernels.grad_hess`` evaluation.
+    The 2x2 system is solved with the Hessian times tau (dimensionless), whose
+    determinant is kept at least eps times its diagonal product: a Hessian
+    singular to working precision (all residuals alike, far from the bulk
+    of the sample) gives a long step that the damping turns into a jump.
+    Only mu moves when tau sits at the floor with an uphill gradient, and
+    only tau when mu's increment is below its ulp (a joint step would move
+    tau as if mu had moved).  Damping, with x = -d_tau / tau: tau keeps at
+    least half of itself, and beyond x = 2 it is divided by sqrt(2 x), the
+    large-x minimizer of the model A/tau + B*tau with the same slope and
+    curvature (the objective's shape in tau once residuals are small against
+    it).  mu moves by at most the sample's width.
     """
-    mu = _newton_fixed_tau(y, tau, z, y_range, med)
-    ev = kernels.grad_hess(y, mu, tau, z, y_range)
-    best = (mu, tau, ev)
-    best_norm = _residual(ev[0], ev[1], tau, floor)
-    for _ in range(rounds):
-        _, g_tau, h_mm, h_mt, h_tt = ev
-        h_prof = h_tt - (h_mt * h_mt / h_mm if h_mm > 0.0 else 0.0)
-        if not (h_prof > 0.0 and math.isfinite(h_prof)):
-            break
-        step = g_tau / h_prof
-        cap = 0.5 * tau
-        if abs(step) > cap:
-            step = math.copysign(cap, step)
-        tau = max(tau - step, floor)
-        mu = _newton_fixed_tau(y, tau, z, y_range, med)
-        ev = kernels.grad_hess(y, mu, tau, z, y_range)
-        norm = _residual(ev[0], ev[1], tau, floor)
-        if norm < best_norm:
-            best_norm = norm
-            best = (mu, tau, ev)
-        else:
-            break
-    return best
+    _, g_mu, g_tau, h_mm, h_mt, h_tt = ev
+    if tau <= floor and g_tau > 0.0:
+        d_mu, d_tau = (-g_mu / h_mm if h_mm > 0.0 else 0.0), 0.0
+    else:
+        a_mm, a_mt, a_tt = tau * h_mm, tau * h_mt, tau * h_tt
+        det = max(a_mm * a_tt - a_mt * a_mt, _EPS * (a_mm * a_tt))
+        if not (det > 0.0 and math.isfinite(det)):
+            return 0.0, 0.0
+        d_mu = -tau * ((a_tt * g_mu - a_mt * g_tau) / det)
+        d_tau = -tau * ((a_mm * g_tau - a_mt * g_mu) / det)
+        if abs(d_mu) < math.ulp(mu):
+            d_mu, d_tau = 0.0, -g_tau / h_tt
+    x = -d_tau / tau
+    if x > 0.5:
+        shrink = (1.0 - min(0.5, 1.0 / math.sqrt(2.0 * x))) / x
+        d_mu, d_tau = shrink * d_mu, shrink * d_tau
+    if abs(d_mu) > span:
+        shrink = span / abs(d_mu)
+        d_mu, d_tau = shrink * d_mu, shrink * d_tau
+    return d_mu, d_tau
 
 
-def _agd(y, mu, tau, z, floor, target_tol, max_iters, y_range, med):
-    loss = kernels.total_loss(y, mu, tau, z, y_range)
-    # the derivatives at the current point; each sweep ends by evaluating
-    # them at its end point, which is where the next sweep starts
-    ev = kernels.grad_hess(y, mu, tau, z, y_range)
-    converged = False
+def _moved_residual(ev, tau, floor, dm, dt):
+    """Largest gradient component among the coordinates a step moves."""
+    g_t = _projected_grad_tau(ev[2], tau, floor)
+    return max(abs(ev[1]) if dm else 0.0, abs(g_t) if dt else 0.0)
+
+
+def _line_search(y, mu, tau, z, floor, ev, step, y_range):
+    """Backtracking along the projected step; the accepted point and its
+    ``kernels.loss_grad_hess``, or None when no trial is accepted.
+
+    A trial is accepted when the objective shows the Armijo decrease, or
+    when the gradient at the trial certifies it: for a convex objective
+    L(trial) <= L + g_trial . step, so g_trial . step <= c1 * g . step
+    implies the Armijo condition without comparing two rounded losses.
+    Where the predicted decrease is below the float64 resolution of the
+    objective (near the optimum, or everywhere when one huge residual
+    dominates the objective), a trial that lowers the gradient on the
+    coordinates the step moves is kept too.
+    """
+    loss0, g_mu, g_tau = ev[:3]
+    d_mu, d_tau = step
+    resolution = _LOSS_ULPS * _EPS * abs(loss0)
+    alpha = 1.0
+    for _ in range(_MAX_BACKTRACKS):
+        mu_t = mu + alpha * d_mu
+        tau_t = max(tau + alpha * d_tau, floor)
+        if mu_t == mu and tau_t == tau:
+            return None
+        dm, dt = mu_t - mu, tau_t - tau
+        predicted = g_mu * dm + g_tau * dt
+        if predicted < 0.0 and math.isfinite(mu_t) and math.isfinite(tau_t):
+            ev_t = kernels.loss_grad_hess(y, mu_t, tau_t, z, y_range)
+            sufficient = _ARMIJO_C1 * predicted
+            if ev_t[0] < loss0 + sufficient or ev_t[1] * dm + ev_t[2] * dt <= sufficient:
+                return mu_t, tau_t, ev_t
+            if (
+                -predicted <= resolution
+                and ev_t[0] <= loss0 + resolution
+                and _moved_residual(ev_t, tau_t, floor, dm, dt)
+                < _moved_residual(ev, tau, floor, dm, dt)
+            ):
+                return mu_t, tau_t, ev_t
+        alpha *= _ARMIJO_SHRINK
+    return None
+
+
+def _joint_newton(y, mu, tau, z, floor, scale, tol, max_iters, y_range):
+    lo, hi = y_range
+    top = math.sqrt(y.shape[0]) / z
+    ev = kernels.loss_grad_hess(y, mu, tau, z, y_range)
+    g_norm, converged = _converged_flag(ev, mu, tau, floor, scale, tol)
     it = 0
-    g_norm = math.inf
-    plateau = 0
-    for it in range(1, max_iters + 1):
-        mu_prev, tau_prev, loss_prev = mu, tau, loss
-        # tau step first, then mu at the updated tau
-        g_tau, h_tt = ev[1], ev[4]
-        mu, tau, loss = _armijo_coordinate(
-            y, mu, tau, z, loss, "tau", g_tau, h_tt, floor, y_range
-        )
-        if tau != tau_prev:
-            ev = kernels.grad_hess(y, mu, tau, z, y_range)
-        g_mu, h_mm = ev[0], ev[2]
-        mu, tau, loss = _armijo_coordinate(
-            y, mu, tau, z, loss, "mu", g_mu, h_mm, floor, y_range
-        )
-        if loss > loss_prev:
-            raise RuntimeError("descent violated: objective increased within a sweep")
-        moved = (
-            abs(mu - mu_prev) > _STEP_RTOL * max(1.0, abs(mu), abs(mu_prev))
-            or abs(tau - tau_prev) > _STEP_RTOL * max(1.0, tau, tau_prev)
-        )
-        # a sweep that cannot shave even one ulp off the objective is done,
-        # whether or not the iterates still flutter: once the predicted
-        # Armijo decrease underflows against the loss, equal-loss trials get
-        # accepted and the point can hop between adjacent floats forever
-        if loss_prev - loss <= _EPS * loss_prev:
-            plateau += 1
+    while not converged and it < max_iters:
+        it += 1
+        # The objective decreases in mu toward [min y, max y] and in tau
+        # down to tau_hi (above max|y_i - mu| * sqrt(n) / z every u_i
+        # exceeds 1 - z^2 / n, so g_tau > 0).  A point outside moves straight
+        # in: a descent step that Newton would crawl through, as the
+        # curvature all but vanishes out there.
+        mu_in = min(max(mu, lo), hi)
+        tau_hi = max(max(hi - mu_in, mu_in - lo) * top, floor)
+        if mu_in != mu or tau > tau_hi:
+            mu, tau = mu_in, min(tau, tau_hi)
+            ev = kernels.loss_grad_hess(y, mu, tau, z, y_range)
         else:
-            plateau = 0
-        if not moved or plateau >= _PLATEAU_SWEEPS:
-            # fixed point of the sweep map at working precision
-            mu, tau, ev = _polish(y, tau, z, floor, y_range, med)
-            g_norm, converged = _converged_flag(ev, mu, tau, floor, target_tol)
-            break
-        if mu != mu_prev:
-            ev = kernels.grad_hess(y, mu, tau, z, y_range)
-        g_norm = _residual(ev[0], ev[1], tau, floor)
+            step = _newton_step(ev, mu, tau, floor, hi - lo)
+            found = _line_search(y, mu, tau, z, floor, ev, step, y_range)
+            if found is None:
+                break
+            mu, tau, ev = found
+        g_norm, converged = _converged_flag(ev, mu, tau, floor, scale, tol)
     return mu, tau, it, g_norm, converged
 
 
@@ -353,7 +348,7 @@ def _bisect_grad_tau(y, mu, z, floor, hint, y_range):
     return 0.5 * (lo + hi)
 
 
-def _exact_coordinate(y, mu, tau, z, floor, target_tol, max_iters, y_range):
+def _exact_coordinate(y, mu, tau, z, floor, scale, tol, max_iters, y_range):
     lo, hi = y_range
     it = 0
     for it in range(1, max_iters + 1):
@@ -361,13 +356,13 @@ def _exact_coordinate(y, mu, tau, z, floor, target_tol, max_iters, y_range):
         mu = _bisect_grad_mu(y, tau, z, lo, hi, y_range)
         tau = _bisect_grad_tau(y, mu, z, floor, tau, y_range)
         moved = (
-            abs(mu - mu_prev) > _STEP_RTOL * max(1.0, abs(mu), abs(mu_prev))
-            or abs(tau - tau_prev) > _STEP_RTOL * max(1.0, tau, tau_prev)
+            abs(mu - mu_prev) > _STEP_RTOL * max(abs(mu), abs(mu_prev), scale)
+            or abs(tau - tau_prev) > _STEP_RTOL * max(tau, tau_prev)
         )
         if not moved:
             break
     ev = kernels.grad_hess(y, mu, tau, z, y_range)
-    g_norm, converged = _converged_flag(ev, mu, tau, floor, target_tol)
+    g_norm, converged = _converged_flag(ev, mu, tau, floor, scale, tol)
     return mu, tau, it, g_norm, converged
 
 
@@ -410,10 +405,7 @@ def fit(data, config: EstimatorConfig | None = None) -> FitResult:
     y = as_sample(data)
     n = y.size
     z = cfg.z
-    med, mad = median_and_mad(y)
-    scale = 1.4826 * mad
-    if scale == 0.0:
-        scale = abs(med)
+    med, scale = _median_scale(y)
     floor = _resolve_floor(cfg, scale)
     if n <= z * z:
         warnings.warn(
@@ -432,14 +424,13 @@ def fit(data, config: EstimatorConfig | None = None) -> FitResult:
             converged=True,
             degenerate=True,
         )
-    target_tol = cfg.grad_tol * max(1.0, scale)
     if _collapse_possible(y, n, z):
         # the tau profile is strictly convex, so an uphill profile gradient
         # at the floor proves the joint minimizer sits on the boundary; the
-        # sweep strategies would crawl along the collapsing valley instead
+        # iterations would crawl along the collapsing valley instead
         mu_b, ev = _fit_at_floor(y, z, floor, y_range, med)
         if ev[1] >= 0.0:
-            g_norm, converged = _converged_flag(ev, mu_b, floor, floor, target_tol)
+            g_norm, converged = _converged_flag(ev, mu_b, floor, floor, scale, cfg.grad_tol)
             return FitResult(
                 mu_hat=float(mu_b),
                 tau_hat=floor,
@@ -453,15 +444,11 @@ def fit(data, config: EstimatorConfig | None = None) -> FitResult:
         tau0 = max(float(cfg.init[1]), floor)
     else:
         mu0 = med
-        tau0 = max(1.4826 * mad, floor) * math.sqrt(n) / z
-    if cfg.strategy == "agd":
-        mu, tau, it, g_norm, converged = _agd(
-            y, mu0, tau0, z, floor, target_tol, cfg.max_iters, y_range, med
-        )
-    else:
-        mu, tau, it, g_norm, converged = _exact_coordinate(
-            y, mu0, tau0, z, floor, target_tol, cfg.max_iters, y_range
-        )
+        tau0 = max(scale, floor) * math.sqrt(n) / z
+    solve = _joint_newton if cfg.strategy == "agd" else _exact_coordinate
+    mu, tau, it, g_norm, converged = solve(
+        y, mu0, tau0, z, floor, scale, cfg.grad_tol, cfg.max_iters, y_range
+    )
     return FitResult(
         mu_hat=float(mu),
         tau_hat=float(tau),

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -73,6 +74,10 @@ def _kernel_results(y, mu, tau, z, y_range=None):
     hess = kernels.hessian(y, mu, tau, z, y_range)
     # grad_pair and hessian are the two halves of the fused pass
     assert kernels.grad_hess(y, mu, tau, z, y_range) == grad + hess
+    # and the solver's pass adds the objective in front of them
+    fused = kernels.loss_grad_hess(y, mu, tau, z, y_range)
+    assert fused[1:] == grad + hess
+    assert math.isclose(fused[0], loss, rel_tol=1e-13, abs_tol=1e-300)
     return loss, grad, hess
 
 
@@ -112,9 +117,11 @@ def test_backends_agree_on_large_sample():
         (outlier, 0.3, 4.0, 10.7),
     ]
     for args in cases:
-        got = (kernels.total_loss(*args), kernels.grad_pair(*args))
         expected_loss, expected_grad, _ = _reference(*args)
+        got = (kernels.total_loss(*args), kernels.grad_pair(*args))
         _assert_loss_and_grad_close(got, (expected_loss, expected_grad))
+        fused = kernels.loss_grad_hess(*args)
+        _assert_loss_and_grad_close((fused[0], fused[1:3]), (expected_loss, expected_grad))
 
 
 def test_huge_residuals_do_not_overflow():
@@ -127,11 +134,14 @@ def test_huge_residuals_do_not_overflow():
     assert math.isfinite(g_mu) and math.isfinite(g_tau)
     for entry in kernels.hessian(y, 0.0, 1.0, 2.0):
         assert math.isfinite(entry)
+    for entry in kernels.loss_grad_hess(y, 0.0, 1.0, 2.0):
+        assert math.isfinite(entry)
 
 
 def test_huge_tau_and_huge_residuals_together():
     y = np.array([3e200, -4e200])
     assert math.isfinite(kernels.total_loss(y, 0.0, 2e200, 1.0))
+    assert all(math.isfinite(v) for v in kernels.loss_grad_hess(y, 0.0, 2e200, 1.0))
 
 
 def test_tiny_residual_excess_keeps_precision():
@@ -140,6 +150,27 @@ def test_tiny_residual_excess_keeps_precision():
     # dominate the loss instead of drowning in the penalty z*tau/sqrt(n)
     y = np.array([1e-9])
     z = 1e-12
-    loss = kernels.total_loss(y, 0.0, 1.0, z)
     expected = 0.5e-18 / z + z
-    assert math.isclose(loss, expected, rel_tol=1e-12)
+    assert math.isclose(kernels.total_loss(y, 0.0, 1.0, z), expected, rel_tol=1e-12)
+    assert math.isclose(kernels.loss_grad_hess(y, 0.0, 1.0, z)[0], expected, rel_tol=1e-12)
+
+
+def _peak_temporaries(fn, y):
+    """Peak memory a kernel call allocates, in units of one n-length array."""
+    fn(y, 0.1, 2.0, 10.0)  # any one-time allocation happens outside the trace
+    tracemalloc.start()
+    try:
+        fn(y, 0.1, 2.0, 10.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / y.nbytes
+
+
+def test_passes_hold_few_temporaries():
+    # a pass over 10^6 values must not hold more n-length arrays than it
+    # needs: r, h, u and one scratch array for the fused passes
+    y = np.random.default_rng(94).standard_t(3, size=1_000_000)
+    assert _peak_temporaries(kernels.total_loss, y) < 3.5
+    assert _peak_temporaries(kernels.grad_hess, y) < 4.5
+    assert _peak_temporaries(kernels.loss_grad_hess, y) < 4.5

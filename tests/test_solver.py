@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from autohuber import kernels, noise
 from autohuber.loss import gradient, total_loss
 from autohuber.solver import (
     DiagnosticsReport,
@@ -180,6 +181,36 @@ class TestFit:
         assert res.converged
         assert res.tau_hat == pytest.approx(ref.tau_hat, abs=1e-8)
 
+    def test_offset_beyond_mu_resolution(self):
+        # at 1e15 the float grid of mu is 0.125, coarser than the optimum's
+        # precision in mu: mu stays on the grid next to the shifted optimum
+        # and tau still converges at that mu, in a handful of steps
+        y = _t3_sample(2000, 107)
+        base = fit(y)
+        cfg = EstimatorConfig(max_iters=50)
+        res = fit(y + 1e15, cfg)
+        assert res.converged
+        assert abs(res.mu_hat - (1e15 + base.mu_hat)) <= math.ulp(1e15)
+        _, g_tau = gradient(y + 1e15, res.mu_hat, res.tau_hat, cfg.z)
+        assert abs(g_tau) <= cfg.grad_tol
+
+    def test_objective_blinded_by_one_huge_value(self):
+        # the 1e250 value's excess swamps every other term of the objective,
+        # so no loss comparison can see the rest of the fit; from the median
+        # and from a start on the outlier itself the fit must still reach the
+        # independent solver's optimum (mu on its float grid near -1e12)
+        y = _t3_sample(2000, 103, mu=-1e12)
+        y[0] = 1e250
+        ref = fit(y, EstimatorConfig(strategy="exact_coordinate"))
+        cfg = EstimatorConfig()
+        for init in (None, (1e250, 1.0)):
+            # from the outlier, halving tau per step would take ~800 steps
+            res = fit(y, EstimatorConfig(init=init, max_iters=100))
+            assert res.converged
+            assert abs(res.mu_hat - ref.mu_hat) <= 2 * math.ulp(ref.mu_hat)
+            _, g_tau = gradient(y, res.mu_hat, res.tau_hat, cfg.z)
+            assert abs(g_tau) <= cfg.grad_tol
+
     def test_final_loss_not_above_init_loss(self):
         y = _t3_sample(300, 43)
         cfg = EstimatorConfig(init=(5.0, 50.0))
@@ -221,6 +252,79 @@ class TestFit:
     def test_accepts_plain_lists(self):
         res = fit([float(v) for v in range(130)])
         assert res.converged
+
+
+class TestScaleFreeStopRules:
+    # a t3 sample scaled to either end of the float64 range: the gradient is
+    # dimensionless, so both strategies must reach the same tolerance and
+    # land on the scaled optimum of the unscaled sample
+    @pytest.mark.parametrize("factor", [1e-300, 1e300])
+    @pytest.mark.parametrize("strategy", ["agd", "exact_coordinate"])
+    def test_extreme_scales_converge_to_scaled_optimum(self, factor, strategy):
+        y = noise.sample(noise.standardize("student_t", df=3), 1, 5000, 0, 3)
+        base = fit(y)
+        cfg = EstimatorConfig(strategy=strategy)
+        scaled = factor * y
+        res = fit(scaled, cfg)
+        assert res.converged
+        assert res.grad_norm <= cfg.grad_tol
+        g_mu, g_tau = gradient(scaled, res.mu_hat, res.tau_hat, cfg.z)
+        assert max(abs(g_mu), abs(g_tau)) <= cfg.grad_tol
+        assert res.tau_hat == pytest.approx(factor * base.tau_hat, rel=1e-9)
+        assert abs(res.mu_hat - factor * base.mu_hat) <= 1e-8 * robust_scale(scaled)
+
+
+def _count_kernel_passes(monkeypatch):
+    """Count every kernel pass the solver makes, by wrapping the module's
+    pass functions (the solver looks them up through the module)."""
+    passes = [0]
+    for name in ("total_loss", "grad_pair", "hessian", "grad_hess", "loss_grad_hess"):
+        original = getattr(kernels, name)
+
+        def counted(*args, _original=original, **kwargs):
+            passes[0] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, name, counted)
+    return passes
+
+
+def test_default_fit_pass_budget(monkeypatch):
+    # the joint Newton step needs four to seven passes on these laws; twelve
+    # leaves room for a few backtracks but not for a return to sweeping
+    laws = (
+        noise.standardize("student_t", df=3),
+        noise.standardize("student_t", df=2.5),
+        noise.standardize("contaminated_gaussian"),
+    )
+    passes = _count_kernel_passes(monkeypatch)
+    worst = 0
+    for model in laws:
+        for n in (256, 2000):
+            for seed in range(50):
+                y = noise.sample(model, 1.0, n, 0.0, seed)
+                passes[0] = 0
+                res = fit(y)
+                assert res.converged
+                worst = max(worst, passes[0])
+    assert worst <= 12
+
+
+def test_restart_pass_budget(monkeypatch):
+    # criterion 3's restarts, some from tau far below the optimum, where the
+    # objective in mu is nearly piecewise linear and raw Newton steps in mu
+    # are absurdly long; each restart must stay within a modest budget
+    y = noise.sample(noise.standardize("student_t", df=3), 1.0, 500, 2.0, 900)
+    rng = np.random.default_rng(42)
+    passes = _count_kernel_passes(monkeypatch)
+    worst = 0
+    for _ in range(20):
+        mu0 = float(rng.uniform(-50.0, 50.0))
+        tau0 = float(np.exp(rng.uniform(math.log(1e-4), math.log(1e6))))
+        passes[0] = 0
+        assert fit(y, EstimatorConfig(init=(mu0, tau0))).converged
+        worst = max(worst, passes[0])
+    assert worst <= 40
 
 
 class TestFitFixedTau:
@@ -347,3 +451,4 @@ class TestDiagnostics:
         res = fit(y)
         with pytest.raises(ValueError, match="ball_radius"):
             diagnostics(y, res, ball_radius=0.0)
+
